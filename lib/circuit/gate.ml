@@ -80,6 +80,41 @@ let equal a b =
       _ ) ->
     false
 
+let is_diagonal = function
+  | Z _ | Rz _ | Phase _ | Cphase _ -> true
+  | H _ | X _ | Y _ | Rx _ | Ry _ | Cnot _ | Swap _ | Barrier | Measure _ ->
+    false
+
+let is_x_axis = function X _ | Rx _ -> true | _ -> false
+
+let commutes a b =
+  let qa = qubits a and qb = qubits b in
+  if not (List.exists (fun q -> List.mem q qb) qa) then true
+  else if not (is_unitary a) || not (is_unitary b) then false
+  else if is_diagonal a && is_diagonal b then true
+  else
+    let same_axis =
+      match (a, b) with
+      | Rx (p, _), Rx (q, _)
+      | Ry (p, _), Ry (q, _)
+      | Rz (p, _), Rz (q, _)
+      | Phase (p, _), Phase (q, _) ->
+        p = q
+      | X p, X q | Y p, Y q | Z p, Z q -> p = q
+      | _ -> false
+    in
+    (* CNOT vs 1q gates: diagonal commutes through the control, X-axis
+       through the target.  Check both argument orders. *)
+    let cnot_commutes cnot other =
+      match cnot with
+      | Cnot (c, t) ->
+        let qs = qubits other in
+        (is_diagonal other && qs = [ c ])
+        || (is_x_axis other && qs = [ t ])
+      | _ -> false
+    in
+    same_axis || cnot_commutes a b || cnot_commutes b a
+
 let pp ppf g =
   match g with
   | H q | X q | Y q | Z q | Measure q ->

@@ -34,6 +34,32 @@ val is_two_qubit : t -> bool
 val is_unitary : t -> bool
 (** False for [Barrier] and [Measure]. *)
 
+val is_diagonal : t -> bool
+(** Diagonal in the computational basis: [Z], [Rz], [Phase], [Cphase].
+    Diagonal gates pairwise commute whatever qubits they share - the
+    property behind every QAOA cost layer. *)
+
+val is_x_axis : t -> bool
+(** [X] or [Rx]: commutes through a CNOT's target. *)
+
+val commutes : t -> t -> bool
+(** The one commutation relation of the compiler (sound, not complete),
+    a function of gate shape (constructor and qubits), never of angles.
+    [commutes a b] holds iff the gates act on disjoint qubits, or both
+    are unitary and
+
+    - both are diagonal (Z, RZ, U1, CPHASE);
+    - they are equal-axis gates on the same qubit (RX-RX, X-X, ...);
+    - one is a CNOT and the other a diagonal gate on its control, or an
+      X-axis gate on its target.
+
+    [Measure] never commutes with a gate sharing its wire.  Everything
+    else on overlapping qubits is ordered conservatively.  [Barrier]
+    acts on no qubit, so it commutes with everything here: callers that
+    treat it as a fence check for it themselves.
+    {!Qaoa_analysis.Commute} builds the dependency DAG from it and
+    {!Optimize} looks through it for merge partners. *)
+
 val map_qubits : (int -> int) -> t -> t
 (** Rename qubit indices. *)
 

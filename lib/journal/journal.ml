@@ -13,13 +13,11 @@ type stats = {
 }
 
 type t = {
-  file : string;
+  log : Record_log.t;
   table : (string, entry) Hashtbl.t;
-  mutable oc : out_channel option;  (** [None] once closed *)
-  mutable loaded : int;
-  mutable appended : int;
+  loaded : int;
   mutable hits : int;
-  mutable torn_truncated : int;
+  torn_truncated : int;
 }
 
 let default_filename = "journal.jsonl"
@@ -31,112 +29,43 @@ let status_of_string = function
   | "quarantined" -> Some Quarantined
   | _ -> None
 
-let render ~key ~status payload =
-  let json =
-    Json.to_string
-      (Json.Assoc
-         [
-           ("key", Json.String key);
-           ("status", Json.String (status_to_string status));
-           ("payload", payload);
-         ])
-  in
-  Printf.sprintf "%s %s\n" (Crc32.to_hex (Crc32.digest json)) json
+let to_json ~key ~status payload =
+  Json.Assoc
+    [
+      ("key", Json.String key);
+      ("status", Json.String (status_to_string status));
+      ("payload", payload);
+    ]
 
-(* One well-formed record line (without its terminating newline), or None. *)
-let parse_line line =
-  match String.index_opt line ' ' with
-  | None -> None
-  | Some sp -> (
-    let crc = String.sub line 0 sp in
-    let json = String.sub line (sp + 1) (String.length line - sp - 1) in
-    match Crc32.of_hex crc with
-    | Some c when c = Crc32.digest json -> (
-      match Json.of_string_opt json with
-      | Some doc -> (
-        match
-          ( Json.member "key" doc,
-            Json.member "status" doc,
-            Json.member "payload" doc )
-        with
-        | Some (Json.String key), Some (Json.String st), Some payload -> (
-          match status_of_string st with
-          | Some status -> Some (key, { status; payload })
-          | None -> None)
-        | _ -> None)
-      | None -> None)
-    | _ -> None)
+let of_json doc =
+  match
+    (Json.member "key" doc, Json.member "status" doc, Json.member "payload" doc)
+  with
+  | Some (Json.String key), Some (Json.String st), Some payload ->
+    Option.map (fun status -> (key, { status; payload })) (status_of_string st)
+  | _ -> None
 
-let read_all file =
-  let ic = open_in_bin file in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* Load [file] into [table].  Returns (records loaded, torn records
-   truncated).  Truncates the file in place when the trailing record is
-   torn; raises [Failure] on corruption before the trailing record or on
-   duplicate keys. *)
+(* Load [file] into [table]: a torn trailing record is truncated away,
+   corruption before it or a duplicate key raises [Failure]. *)
 let load file table =
-  if not (Sys.file_exists file) then (0, 0)
-  else begin
-    let content = read_all file in
-    let len = String.length content in
-    let loaded = ref 0 in
-    let torn = ref 0 in
-    let truncate_at off =
-      let fd = Unix.openfile file [ Unix.O_WRONLY ] 0o644 in
-      Fun.protect
-        ~finally:(fun () -> Unix.close fd)
-        (fun () -> Unix.ftruncate fd off);
-      incr torn;
-      Metrics.incr "journal.torn_truncated"
-    in
-    let rec scan off =
-      if off < len then
-        match String.index_from_opt content off '\n' with
-        | None ->
-          (* unterminated tail: the classic torn append *)
-          truncate_at off
-        | Some nl -> (
-          let line = String.sub content off (nl - off) in
-          match parse_line line with
-          | Some (key, entry) ->
-            if Hashtbl.mem table key then
-              failwith
-                (Printf.sprintf "Journal: duplicate key %S in %s" key file);
-            Hashtbl.replace table key entry;
-            incr loaded;
-            scan (nl + 1)
-          | None ->
-            if nl + 1 >= len then
-              (* invalid final record: torn mid-write, drop it *)
-              truncate_at off
-            else
-              failwith
-                (Printf.sprintf
-                   "Journal: corrupt record at byte %d of %s (not the \
-                    trailing record - refusing to drop completed trials)"
-                   off file))
-    in
-    scan 0;
-    (!loaded, !torn)
-  end
+  let r =
+    Record_log.reload ~corrupt:Record_log.Refuse file ~parse:of_json
+      (fun (key, entry) ->
+        if Hashtbl.mem table key then
+          failwith (Printf.sprintf "Journal: duplicate key %S in %s" key file);
+        Hashtbl.replace table key entry)
+  in
+  if r.Record_log.torn_truncated > 0 then
+    Metrics.incr ~by:r.Record_log.torn_truncated "journal.torn_truncated";
+  r.Record_log.torn_truncated
 
-let close t =
-  match t.oc with
-  | None -> ()
-  | Some oc ->
-    t.oc <- None;
-    flush oc;
-    (try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ());
-    close_out_noerr oc
+let close t = Record_log.close t.log
 
 let open_ ?(resume = false) ~dir () =
   Atomic_write.mkdir_p dir;
   let file = Filename.concat dir default_filename in
   let table = Hashtbl.create 256 in
-  let loaded, torn =
+  let torn_truncated =
     if resume then load file table
     else begin
       (if Sys.file_exists file then
@@ -152,18 +81,18 @@ let open_ ?(resume = false) ~dir () =
                 "Journal: %s already holds records; pass --resume to \
                  continue it or choose a fresh --journal directory"
                 file));
-      (0, 0)
+      0
     end
   in
-  let oc = open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 file in
-  let t =
-    { file; table; oc = Some oc; loaded; appended = 0; hits = 0;
-      torn_truncated = torn }
-  in
-  at_exit (fun () -> close t);
-  t
+  {
+    log = Record_log.open_ file;
+    table;
+    loaded = Hashtbl.length table;
+    hits = 0;
+    torn_truncated;
+  }
 
-let path t = t.file
+let path t = Record_log.path t.log
 let mem t key = Hashtbl.mem t.table key
 
 let find t key =
@@ -175,30 +104,19 @@ let find t key =
   | None -> None
 
 let append t ~key ~status payload =
-  (match t.oc with
-  | None -> invalid_arg "Journal.append: journal is closed"
-  | Some oc ->
-    if Hashtbl.mem t.table key then
-      invalid_arg (Printf.sprintf "Journal.append: duplicate key %S" key);
-    let line = render ~key ~status payload in
-    (match Chaos.intercept line with
-    | Chaos.Pass -> output_string oc line
-    | Chaos.Torn prefix -> output_string oc prefix);
-    flush oc;
-    (* a pending simulated crash fires here - after the bytes hit the
-       OS, before the in-memory publish, exactly like a real crash *)
-    Chaos.die ();
-    Hashtbl.replace t.table key { status; payload };
-    t.appended <- t.appended + 1;
-    Metrics.incr "journal.appends");
-  ()
+  if Hashtbl.mem t.table key then
+    invalid_arg (Printf.sprintf "Journal.append: duplicate key %S" key);
+  if not (Record_log.append t.log (to_json ~key ~status payload)) then
+    invalid_arg "Journal.append: journal is closed";
+  Hashtbl.replace t.table key { status; payload };
+  Metrics.incr "journal.appends"
 
 let entries t = Hashtbl.length t.table
 
 let stats t =
   {
     loaded = t.loaded;
-    appended = t.appended;
+    appended = Record_log.appended t.log;
     hits = t.hits;
     quarantined =
       Hashtbl.fold

@@ -11,7 +11,7 @@
     loss the journal holds every trial that completed before the
     failure, plus at most one torn trailing record.
 
-    {b On-disk format.}  One record per line:
+    {b On-disk format.}  One {!Record_log} record per line:
     [<crc32-hex> <compact JSON>\n] where the checksum covers the JSON
     text and the JSON object is
     [{"key": k, "status": "ok" | "quarantined", "payload": p}].
@@ -19,7 +19,8 @@
     corrupt {e trailing} record (the signature of a crash mid-append) is
     truncated away and counted in {!stats}; corruption {e before} the
     final record means the storage itself is damaged and raises
-    [Failure] rather than silently dropping completed work.
+    [Failure] rather than silently dropping completed work (the
+    {!Record_log.Refuse} policy).
 
     Keys are unique: appending a key that is already present raises
     [Invalid_argument], and a journal whose file contains duplicates is

@@ -1,52 +1,20 @@
 module Metrics_registry = Qaoa_obs.Metrics_registry
 
-(* One client connection.  All mutation happens on the calling domain
+(* Per-connection state.  All mutation happens on the calling domain
    (produce/consume both run there); workers only ever carry the
    pointer through the pool. *)
-type conn = {
-  fd : Unix.file_descr;
-  buf : Buffer.t;  (** bytes read but not yet framed into lines *)
-  mutable line_no : int;  (** per-connection 1-based line numbering *)
-  mutable inflight : int;  (** requests submitted, response not yet written *)
-  mutable eof : bool;  (** peer finished writing; flush then close *)
-  mutable alive : bool;
-}
-
-let rec write_all fd s off len =
-  if len > 0 then
-    match Unix.write_substring fd s off len with
-    | n -> write_all fd s (off + n) (len - n)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd s off len
+type conn = { mutable inflight : int  (** submitted, not yet answered *) }
 
 module Client = struct
-  type t = { fd : Unix.file_descr; buf : Buffer.t; mutable eof : bool }
+  type t = { conn : unit Conn.t; lines : string Queue.t }
 
   exception Timeout of string
-
-  (* One connect attempt.  [None] = the daemon is not (yet) listening:
-     the socket file may not exist, or it exists but nothing accepts -
-     both are normal during the bind window right after a fork. *)
-  let try_connect path =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    match Unix.connect fd (Unix.ADDR_UNIX path) with
-    | () -> Some fd
-    | exception
-        Unix.Unix_error
-          ((Unix.ECONNREFUSED | Unix.ENOENT | Unix.ECONNRESET), _, _) ->
-      Unix.close fd;
-      None
-    | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-      Unix.close fd;
-      None
-    | exception e ->
-      Unix.close fd;
-      raise e
 
   let connect ?(timeout_s = 10.0) path =
     let deadline = Unix.gettimeofday () +. timeout_s in
     let rec go () =
-      match try_connect path with
-      | Some fd -> { fd; buf = Buffer.create 1024; eof = false }
+      match Conn.connect path with
+      | Some conn -> { conn; lines = Queue.create () }
       | None ->
         if Unix.gettimeofday () >= deadline then
           raise
@@ -59,44 +27,25 @@ module Client = struct
     in
     go ()
 
-  let fd t = t.fd
-
-  let send_line t line =
-    write_all t.fd (line ^ "\n") 0 (String.length line + 1)
-
-  (* Pop one framed line off the read buffer, if a newline arrived. *)
-  let take_line t =
-    let s = Buffer.contents t.buf in
-    match String.index_opt s '\n' with
-    | None -> None
-    | Some nl ->
-      Buffer.clear t.buf;
-      Buffer.add_substring t.buf s (nl + 1) (String.length s - nl - 1);
-      Some (String.sub s 0 nl)
+  let fd t = Conn.fd t.conn
+  let send_line t line = Conn.send t.conn line
+  let read t = Conn.read t.conn (fun _ line -> Queue.add line t.lines)
 
   let recv_line ?(timeout_s = 30.0) t =
     let deadline = Unix.gettimeofday () +. timeout_s in
-    let bytes = Bytes.create 4096 in
     let rec go () =
-      match take_line t with
+      match Queue.take_opt t.lines with
       | Some l -> Some l
       | None ->
-        if t.eof then None
+        if Conn.eof t.conn then None
         else begin
           let remaining = deadline -. Unix.gettimeofday () in
           if remaining <= 0.0 then
             raise (Timeout (Printf.sprintf "no reply within %.1fs" timeout_s));
-          (match Unix.select [ t.fd ] [] [] (Float.min remaining 0.25) with
+          (match Unix.select [ fd t ] [] [] (Float.min remaining 0.25) with
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
           | [], _, _ -> ()
-          | _ :: _, _, _ -> (
-            match Unix.read t.fd bytes 0 4096 with
-            | 0 -> t.eof <- true
-            | n -> Buffer.add_subbytes t.buf bytes 0 n
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-            | exception
-                Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-              t.eof <- true));
+          | _ :: _, _, _ -> ignore (read t));
           go ()
         end
     in
@@ -110,36 +59,19 @@ module Client = struct
      their own select loop: drain whatever the kernel has buffered,
      then report one framed line (or EOF) without ever waiting. *)
   let poll_line t =
-    match take_line t with
+    let rec drain () =
+      match Unix.select [ fd t ] [] [] 0.0 with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
+      | [], _, _ -> ()
+      | _ :: _, _, _ -> (
+        match read t with `Open -> drain () | `Eof | `Reset -> ())
+    in
+    if Queue.is_empty t.lines && not (Conn.eof t.conn) then drain ();
+    match Queue.take_opt t.lines with
     | Some l -> `Line l
-    | None ->
-      if t.eof then `Eof
-      else begin
-        let bytes = Bytes.create 4096 in
-        let rec drain () =
-          match Unix.select [ t.fd ] [] [] 0.0 with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
-          | [], _, _ -> ()
-          | _ :: _, _, _ -> (
-            match Unix.read t.fd bytes 0 4096 with
-            | 0 -> t.eof <- true
-            | n ->
-              Buffer.add_subbytes t.buf bytes 0 n;
-              drain ()
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
-            | exception
-                Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-              t.eof <- true)
-        in
-        drain ();
-        match take_line t with
-        | Some l -> `Line l
-        | None -> if t.eof then `Eof else `Nothing
-      end
+    | None -> if Conn.eof t.conn then `Eof else `Nothing
 
-  let close t =
-    t.eof <- true;
-    try Unix.close t.fd with Unix.Unix_error _ -> ()
+  let close t = Conn.close t.conn
 end
 
 let run ?(on_ready = fun () -> ()) ?shutdown_fd (config : Serve.config)
@@ -147,59 +79,17 @@ let run ?(on_ready = fun () -> ()) ?shutdown_fd (config : Serve.config)
   if config.Serve.sort then
     invalid_arg "Daemon: sort is batch-only (a daemon stream has no end)";
   let handler = Serve.make_handler config in
-  (* a client that disconnects mid-response must cost us an EPIPE, not
-     the process *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ | Sys_error _ -> ());
-  if Sys.file_exists socket_path then (
-    try Unix.unlink socket_path with Unix.Unix_error _ -> ());
-  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind listen_fd (Unix.ADDR_UNIX socket_path);
-  Unix.listen listen_fd 16;
+  let server =
+    Conn.listen socket_path
+      ~init:(fun () -> { inflight = 0 })
+      ~idle:(fun c -> c.inflight = 0)
+  in
   on_ready ();
-  let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 8 in
-  let pending : (conn * (int * string)) Queue.t = Queue.create () in
-  let accepting = ref true in
+  let pending : (conn Conn.t * (int * string)) Queue.t = Queue.create () in
   let requests = ref 0 and errors = ref 0 in
-  let drop c =
-    if c.alive then begin
-      c.alive <- false;
-      Hashtbl.remove conns c.fd;
-      try Unix.close c.fd with Unix.Unix_error _ -> ()
-    end
-  in
-  (* Frame complete lines out of the connection buffer; a trailing
-     fragment stays buffered until its newline (or is discarded at
-     EOF - an unterminated request was never fully sent). *)
-  let enqueue_lines c =
-    let s = Buffer.contents c.buf in
-    let rec go off =
-      match String.index_from_opt s off '\n' with
-      | None ->
-        if off > 0 then begin
-          Buffer.clear c.buf;
-          Buffer.add_substring c.buf s off (String.length s - off)
-        end
-      | Some nl ->
-        c.line_no <- c.line_no + 1;
-        c.inflight <- c.inflight + 1;
-        Queue.add (c, (c.line_no, String.sub s off (nl - off))) pending;
-        go (nl + 1)
-    in
-    go 0
-  in
-  let read_conn c =
-    let bytes = Bytes.create 4096 in
-    match Unix.read c.fd bytes 0 4096 with
-    | 0 ->
-      c.eof <- true;
-      if c.inflight = 0 then drop c
-    | n ->
-      Buffer.add_subbytes c.buf bytes 0 n;
-      enqueue_lines c
-    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-      drop c
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  let enqueue c line_no line =
+    (Conn.state c).inflight <- (Conn.state c).inflight + 1;
+    Queue.add (c, (line_no, line)) pending
   in
   (* The parent-death watch: when the supervisor holding the other end
      of this pipe exits (gracefully or not), the fd turns readable at
@@ -216,11 +106,7 @@ let run ?(on_ready = fun () -> ()) ?shutdown_fd (config : Serve.config)
       ignore (Atomic.compare_and_set drain 0 143)
   in
   let poll_io () =
-    let fds =
-      (match shutdown_fd with Some fd -> [ fd ] | None -> [])
-      @ (if !accepting then [ listen_fd ] else [])
-      @ Hashtbl.fold (fun fd c acc -> if c.eof then acc else fd :: acc) conns []
-    in
+    let fds = Option.to_list shutdown_fd @ Conn.read_fds server in
     (* the bounded timeout is what makes [Block] safe: the driver
        drains finished responses between polls, and a delivered signal
        (EINTR or the drain flag) is observed within 50ms *)
@@ -230,32 +116,8 @@ let run ?(on_ready = fun () -> ()) ?shutdown_fd (config : Serve.config)
       List.iter
         (fun fd ->
           if shutdown_fd = Some fd then check_shutdown fd
-          else if fd = listen_fd then (
-            match Unix.accept listen_fd with
-            | cfd, _ ->
-              Hashtbl.replace conns cfd
-                {
-                  fd = cfd;
-                  buf = Buffer.create 256;
-                  line_no = 0;
-                  inflight = 0;
-                  eof = false;
-                  alive = true;
-                };
-              Metrics_registry.incr "serve.connections"
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
-          else
-            match Hashtbl.find_opt conns fd with
-            | Some c -> read_conn c
-            | None -> ())
+          else Conn.service server fd enqueue)
         ready
-  in
-  let stop_accepting () =
-    if !accepting then begin
-      accepting := false;
-      (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-      try Unix.unlink socket_path with Unix.Unix_error _ -> ()
-    end
   in
   let rec produce () =
     if not (Queue.is_empty pending) then begin
@@ -266,7 +128,7 @@ let run ?(on_ready = fun () -> ()) ?shutdown_fd (config : Serve.config)
     else if Atomic.get drain <> 0 then begin
       (* graceful drain: stop accepting; already-submitted requests
          finish and their responses flow out below *)
-      stop_accepting ();
+      Conn.stop_accepting server;
       Pool.Eof
     end
     else begin
@@ -279,21 +141,16 @@ let run ?(on_ready = fun () -> ()) ?shutdown_fd (config : Serve.config)
     Atomic.decr config.Serve.inflight;
     incr requests;
     if Serve.outcome_error outcome then incr errors;
-    if c.alive then begin
-      let line = Serve.render config outcome ^ "\n" in
-      try write_all c.fd line 0 (String.length line)
-      with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> drop c
-    end;
-    c.inflight <- c.inflight - 1;
-    if c.eof && c.inflight = 0 then drop c
+    Conn.write_line server c (Serve.render config outcome);
+    (Conn.state c).inflight <- (Conn.state c).inflight - 1;
+    Conn.close_if_done server c
   in
   let _count =
     Pool.stream_poll ~workers:config.Serve.workers
       ~queue_capacity:config.Serve.queue_capacity ~produce ~consume
       (fun (c, item) -> (c, handler item))
   in
-  stop_accepting ();
-  List.iter drop (Hashtbl.fold (fun _ c acc -> c :: acc) conns []);
+  Conn.close_all server;
   {
     Serve.requests = !requests;
     errors = !errors;

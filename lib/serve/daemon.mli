@@ -2,10 +2,12 @@
 
     Clients connect to the socket and speak exactly the batch protocol
     - JSONL requests in, JSONL responses out - so
-    [nc -U sock < corpus.jsonl] works unchanged.  Connections are
-    multiplexed through one select loop feeding the shared worker
-    pool, so every connection shares the device table, the supervisor
-    (breaker state) and the artifact cache.
+    [nc -U sock < corpus.jsonl] works unchanged.  The socket, line
+    framing and connection lifetime are {!Conn}'s; this module only
+    dispatches.  Connections are multiplexed through one select loop
+    feeding the shared worker pool, so every connection shares the
+    device table, the supervisor (breaker state) and the artifact
+    cache.
 
     {b Ordering.}  Requests are submitted in arrival order and the
     pool's reorder buffer hands responses back in that same global
@@ -30,9 +32,8 @@
 
 module Client : sig
   (** Line-framed client for the daemon protocol: connect with a
-      deadline, send a JSONL line, await the framed reply.  Replaces
-      the ad-hoc [Unix] call sites the supervisor's probe/route path
-      and the tests used to open - every loop here is EINTR-safe and
+      deadline, send a JSONL line, await the framed reply.  Framing
+      and writes are {!Conn}'s; every loop here is EINTR-safe and
       every wait is bounded.
 
       Blocking and single-threaded by design: the shard supervisor

@@ -1,17 +1,12 @@
 module Json = Qaoa_obs.Json
 module Metrics = Qaoa_obs.Metrics_registry
-module Crc32 = Qaoa_journal.Crc32
-module Chaos = Qaoa_journal.Chaos
+module Record_log = Qaoa_journal.Record_log
 module Atomic_write = Qaoa_journal.Atomic_write
 
 let default_filename = "cache.jsonl"
 
 type t = {
-  dir : string;
-  file : string;
-  lock : Mutex.t;
-  mutable oc : out_channel option;  (** [None] once closed *)
-  mutable appended : int;
+  log : Record_log.t;
   loaded : int;
   dropped : int;
   torn_truncated : int;
@@ -24,115 +19,51 @@ type stats = {
   s_torn_truncated : int;
 }
 
-(* One record per cache insertion: CRC-32 of the JSON document, a
-   space, the document, a newline - the same framing as the trial
-   journal, so the same torn-tail reasoning applies. *)
-let render (key : Cache.key) body =
-  let json =
-    Json.to_string
-      (Json.Assoc
-         [
-           ("graph_hash", Json.Int key.Cache.graph_hash);
-           ("fingerprint", Json.String key.Cache.fingerprint);
-           ("body", Json.Assoc body);
-         ])
-  in
-  Printf.sprintf "%s %s\n" (Crc32.to_hex (Crc32.digest json)) json
+(* One record per cache insertion. *)
+let to_json (key : Cache.key) body =
+  Json.Assoc
+    [
+      ("graph_hash", Json.Int key.Cache.graph_hash);
+      ("fingerprint", Json.String key.Cache.fingerprint);
+      ("body", Json.Assoc body);
+    ]
 
-(* One well-formed record line (without its newline), or None. *)
-let parse_line line =
-  match String.index_opt line ' ' with
-  | None -> None
-  | Some sp -> (
-    let crc = String.sub line 0 sp in
-    let json = String.sub line (sp + 1) (String.length line - sp - 1) in
-    match Crc32.of_hex crc with
-    | Some c when c = Crc32.digest json -> (
-      match Json.of_string_opt json with
-      | Some doc -> (
-        match
-          ( Json.member "graph_hash" doc,
-            Json.member "fingerprint" doc,
-            Json.member "body" doc )
-        with
-        | Some (Json.Int graph_hash), Some (Json.String fingerprint),
-          Some (Json.Assoc body) ->
-          Some ({ Cache.graph_hash; fingerprint }, body)
-        | _ -> None)
-      | None -> None)
-    | _ -> None)
-
-let read_all file =
-  let ic = open_in_bin file in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let of_json doc =
+  match
+    ( Json.member "graph_hash" doc,
+      Json.member "fingerprint" doc,
+      Json.member "body" doc )
+  with
+  | Some (Json.Int graph_hash), Some (Json.String fingerprint),
+    Some (Json.Assoc body) ->
+    Some ({ Cache.graph_hash; fingerprint }, body)
+  | _ -> None
 
 (* Reload [file] into [cache].  Unlike the trial journal, a cache is
-   disposable state, so corruption is survivable everywhere: a torn
-   trailing record is truncated off in place, and a corrupt mid-file
-   record is dropped and counted - never served.  Each surviving record
-   re-passed its checksum, which is what re-establishes the
-   [cached = fresh] byte-equality invariant across the restart: the
-   bytes preloaded are exactly the bytes a fresh compile produced
-   before the crash. *)
+   disposable state, so a corrupt mid-file record is dropped and
+   counted - never served.  Each surviving record re-passed its
+   checksum, which is what re-establishes the [cached = fresh]
+   byte-equality invariant across the restart: the bytes preloaded are
+   exactly the bytes a fresh compile produced before the crash. *)
 let load file cache =
-  if not (Sys.file_exists file) then (0, 0, 0)
-  else begin
-    let content = read_all file in
-    let len = String.length content in
-    let loaded = ref 0 and dropped = ref 0 and torn = ref 0 in
-    let truncate_at off =
-      let fd = Unix.openfile file [ Unix.O_WRONLY ] 0o644 in
-      Fun.protect
-        ~finally:(fun () -> Unix.close fd)
-        (fun () -> Unix.ftruncate fd off);
-      incr torn;
-      Metrics.incr "serve.cache.torn_truncated"
-    in
-    let rec scan off =
-      if off < len then
-        match String.index_from_opt content off '\n' with
-        | None ->
-          (* unterminated tail: the classic torn append *)
-          truncate_at off
-        | Some nl -> (
-          let line = String.sub content off (nl - off) in
-          match parse_line line with
-          | Some (key, body) ->
-            ignore (Cache.preload cache key body);
-            incr loaded;
-            scan (nl + 1)
-          | None ->
-            if nl + 1 >= len then
-              (* invalid final record: torn mid-write, drop it *)
-              truncate_at off
-            else begin
-              (* mid-file corruption: drop the record, keep the rest *)
-              incr dropped;
-              Metrics.incr "serve.cache.dropped";
-              scan (nl + 1)
-            end)
-    in
-    scan 0;
-    (!loaded, !dropped, !torn)
-  end
+  let loaded = ref 0 in
+  let r =
+    Record_log.reload ~corrupt:Record_log.Drop file ~parse:of_json
+      (fun (key, body) ->
+        ignore (Cache.preload cache key body);
+        incr loaded)
+  in
+  let count name n = if n > 0 then Metrics.incr ~by:n name in
+  count "serve.cache.dropped" r.Record_log.dropped;
+  count "serve.cache.torn_truncated" r.Record_log.torn_truncated;
+  (!loaded, r.Record_log.dropped, r.Record_log.torn_truncated)
 
-let close t =
-  Mutex.protect t.lock (fun () ->
-      match t.oc with
-      | None -> ()
-      | Some oc ->
-        t.oc <- None;
-        flush oc;
-        (try Unix.fsync (Unix.descr_of_out_channel oc)
-         with Unix.Unix_error _ -> ());
-        close_out_noerr oc)
+let close t = Record_log.close t.log
 
 let open_ ?(resume = false) ~dir cache =
   Atomic_write.mkdir_p dir;
   let file = Filename.concat dir default_filename in
-  let loaded, dropped, torn =
+  let loaded, dropped, torn_truncated =
     if resume then load file cache
     else begin
       (* a cache journal is warmth, not data: starting fresh just
@@ -141,75 +72,34 @@ let open_ ?(resume = false) ~dir cache =
       (0, 0, 0)
     end
   in
-  let oc = open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 file in
-  let t =
-    {
-      dir;
-      file;
-      lock = Mutex.create ();
-      oc = Some oc;
-      appended = 0;
-      loaded;
-      dropped;
-      torn_truncated = torn;
-    }
-  in
-  at_exit (fun () -> close t);
-  t
+  { log = Record_log.open_ file; loaded; dropped; torn_truncated }
 
-let path t = t.file
+let path t = Record_log.path t.log
 
+(* Closed during drain: the entry only loses warmth. *)
 let append t key body =
-  Mutex.protect t.lock (fun () ->
-      match t.oc with
-      | None -> ()  (* closed during drain: the entry only loses warmth *)
-      | Some oc ->
-        let line = render key body in
-        (match Chaos.intercept line with
-        | Chaos.Pass -> output_string oc line
-        | Chaos.Torn prefix -> output_string oc prefix);
-        flush oc;
-        (* a pending simulated crash fires here - after the bytes hit
-           the OS, before any in-memory publish, like a real crash *)
-        Chaos.die ();
-        t.appended <- t.appended + 1;
-        Metrics.incr "serve.cache.journal_appends")
+  if Record_log.append t.log (to_json key body) then
+    Metrics.incr "serve.cache.journal_appends"
 
 (* Rewrite the journal to exactly the cache's live entries (LRU order,
-   so a reload reproduces recency).  Runs through [Atomic_write]: a
-   crash mid-compaction leaves the old journal intact. *)
+   so a reload reproduces recency). *)
 let compact t cache =
-  Mutex.protect t.lock (fun () ->
-      let was_open =
-        match t.oc with
-        | None -> false
-        | Some oc ->
-          flush oc;
-          close_out_noerr oc;
-          t.oc <- None;
-          true
-      in
-      Atomic_write.write ~path:t.file (fun oc ->
-          List.iter
-            (fun (key, body) -> output_string oc (render key body))
-            (Cache.to_list cache));
-      Metrics.incr "serve.cache.compactions";
-      if was_open then
-        t.oc <-
-          Some (open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 t.file))
+  Record_log.rewrite t.log
+    (List.map (fun (key, body) -> to_json key body) (Cache.to_list cache));
+  Metrics.incr "serve.cache.compactions"
 
 (* Journal records that no longer correspond to a live entry (evicted,
    dropped on load, superseded duplicates) are dead weight; compact
    when there are any, then close. *)
 let finish t cache =
-  if t.loaded + t.appended > Cache.size cache then compact t cache;
+  if t.loaded + t.dropped + Record_log.appended t.log > Cache.size cache then
+    compact t cache;
   close t
 
 let stats t =
-  Mutex.protect t.lock (fun () ->
-      {
-        s_loaded = t.loaded;
-        s_appended = t.appended;
-        s_dropped = t.dropped;
-        s_torn_truncated = t.torn_truncated;
-      })
+  {
+    s_loaded = t.loaded;
+    s_appended = Record_log.appended t.log;
+    s_dropped = t.dropped;
+    s_torn_truncated = t.torn_truncated;
+  }

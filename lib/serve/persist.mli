@@ -3,25 +3,26 @@
 
     Every cacheable response body is appended to
     [<dir>/cache.jsonl] as one checksummed record -
-    [CRCHEX {"graph_hash":..,"fingerprint":"..","body":{..}}\n] - the
-    same framing as the sweep journal ({!Qaoa_journal.Journal}), so the
-    same durability reasoning applies: records are flushed as they are
-    written, a crash can lose at most the record being appended, and a
-    torn trailing record is detected by its checksum and truncated off
-    on reload.
+    [CRCHEX {"graph_hash":..,"fingerprint":"..","body":{..}}\n] -
+    written and reloaded by {!Qaoa_journal.Record_log}, the same code
+    as the sweep journal ({!Qaoa_journal.Journal}).  Records are flushed
+    as they are written, a crash can lose at most the record being
+    appended, and a torn trailing record is detected by its checksum
+    and truncated off on reload.
 
     Unlike the sweep journal, a cache is disposable warmth rather than
-    authoritative data, so reload survives {e any} corruption: a
-    corrupt mid-file record is dropped and counted instead of refusing
-    the file.  Every surviving record re-passed its CRC, so the bytes
+    authoritative data, so reload runs with the
+    {!Qaoa_journal.Record_log.Drop} policy: a corrupt mid-file record
+    is dropped and counted instead of refusing the file.  Every surviving record re-passed its CRC, so the bytes
     preloaded into the cache are exactly the bytes a fresh compile
     produced before the crash - the [cached = fresh] byte-equality
     invariant holds across restarts.
 
-    Appends run under a mutex (workers' stores are already serialized
-    by the consume path, but the daemon drain also writes) and pass
-    through {!Qaoa_journal.Chaos} interception, so [QAOA_CHAOS]
-    crash/tear plans exercise this journal exactly like the sweep one.
+    Appends are serialized by the log's mutex (workers' stores are
+    already serialized by the consume path, but the daemon drain also
+    writes) and pass through {!Qaoa_journal.Chaos} interception, so
+    [QAOA_CHAOS] crash/tear plans exercise this journal exactly like
+    the sweep one.
 
     Counters: [serve.cache.journal_appends], [serve.cache.dropped],
     [serve.cache.torn_truncated], [serve.cache.compactions] (and

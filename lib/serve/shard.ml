@@ -190,12 +190,6 @@ let inflight t =
        (fun n s -> match s.link with Some l -> n + req_count l | None -> n)
        0
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Spawning and death                                                  *)
 
@@ -585,7 +579,7 @@ let create ?(child_cleanup = fun () -> ()) cfg =
   (* a send to a freshly-dead child must cost an EPIPE, not the fleet *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
-  mkdir_p cfg.socket_dir;
+  Qaoa_journal.Atomic_write.mkdir_p cfg.socket_dir;
   let now = Unix.gettimeofday () in
   let t =
     {
@@ -832,73 +826,50 @@ let run_lines cfg lines =
 (* ------------------------------------------------------------------ *)
 (* Front-daemon driver                                                 *)
 
-let rec write_all fd s off len =
-  if len > 0 then
-    match Unix.write_substring fd s off len with
-    | n -> write_all fd s (off + n) (len - n)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd s off len
-
+(* Per front connection: the global seqs it sent, in order, and the
+   replies that arrived ahead of an earlier one. *)
 type fconn = {
-  f_fd : Unix.file_descr;
-  f_buf : Buffer.t;
-  mutable f_line : int;  (** per-connection numbering, like the daemon *)
-  mutable f_eof : bool;
-  mutable f_alive : bool;
-  f_expected : int Queue.t;  (** global seqs in this conn's send order *)
+  f_expected : int Queue.t;
   f_ready : (int, string) Hashtbl.t;
 }
 
 let run_front ?(on_ready = fun () -> ()) cfg ~socket_path ~drain =
   if cfg.sort then
     invalid_arg "Shard: sort is batch-only (a daemon stream has no end)";
-  let conns : (Unix.file_descr, fconn) Hashtbl.t = Hashtbl.create 8 in
-  let listen_fd = ref None in
+  let front = ref None in
   (* respawned children must not inherit the front socket or any
      client connection - they would hold them open past our close *)
   let child_cleanup () =
-    (match !listen_fd with Some fd -> close_quiet fd | None -> ());
-    Hashtbl.iter (fun fd _ -> close_quiet fd) conns
+    Option.iter (fun s -> List.iter close_quiet (Conn.fds s)) !front
   in
   let t = create ~child_cleanup { cfg with drain = Some drain } in
   Fun.protect ~finally:(fun () -> teardown t) @@ fun () ->
-  if Sys.file_exists socket_path then (
-    try Unix.unlink socket_path with Unix.Unix_error _ -> ());
-  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind lfd (Unix.ADDR_UNIX socket_path);
-  Unix.listen lfd 16;
-  listen_fd := Some lfd;
+  let server =
+    Conn.listen socket_path
+      ~init:(fun () ->
+        { f_expected = Queue.create (); f_ready = Hashtbl.create 8 })
+      ~idle:(fun f -> Queue.is_empty f.f_expected)
+  in
+  front := Some server;
   on_ready ();
-  let accepting = ref true in
   let requests = ref 0 and errors = ref 0 in
   let next_seq = ref 0 in
-  let owner_of_seq : (int, fconn) Hashtbl.t = Hashtbl.create 64 in
-  let drop c =
-    if c.f_alive then begin
-      c.f_alive <- false;
-      Hashtbl.remove conns c.f_fd;
-      close_quiet c.f_fd
-    end
-  in
+  let owner_of_seq : (int, fconn Conn.t) Hashtbl.t = Hashtbl.create 64 in
   let flush_conn c =
+    let f = Conn.state c in
     let rec go () =
-      match Queue.peek_opt c.f_expected with
-      | Some seq when Hashtbl.mem c.f_ready seq ->
-        let line = Hashtbl.find c.f_ready seq in
-        Hashtbl.remove c.f_ready seq;
-        ignore (Queue.pop c.f_expected);
+      match Queue.peek_opt f.f_expected with
+      | Some seq when Hashtbl.mem f.f_ready seq ->
+        let line = Hashtbl.find f.f_ready seq in
+        Hashtbl.remove f.f_ready seq;
+        ignore (Queue.pop f.f_expected);
         Hashtbl.remove owner_of_seq seq;
-        if c.f_alive then begin
-          match write_all c.f_fd (line ^ "\n") 0 (String.length line + 1) with
-          | () -> ()
-          | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _)
-            ->
-            drop c
-        end;
+        Conn.write_line server c line;
         go ()
       | _ -> ()
     in
     go ();
-    if c.f_eof && Queue.is_empty c.f_expected then drop c
+    Conn.close_if_done server c
   in
   let deliver seq line =
     incr requests;
@@ -906,16 +877,15 @@ let run_front ?(on_ready = fun () -> ()) cfg ~socket_path ~drain =
     match Hashtbl.find_opt owner_of_seq seq with
     | None -> () (* connection long gone *)
     | Some c ->
-      Hashtbl.replace c.f_ready seq line;
+      Hashtbl.replace (Conn.state c).f_ready seq line;
       flush_conn c
   in
-  let submit c line =
-    c.f_line <- c.f_line + 1;
+  let submit c line_no line =
     let seq = !next_seq in
     incr next_seq;
-    Queue.add seq c.f_expected;
+    Queue.add seq (Conn.state c).f_expected;
     Hashtbl.replace owner_of_seq seq c;
-    match classify t (c.f_line, line) with
+    match classify t (line_no, line) with
     | Answer { id; line_no = _; body } -> deliver seq (render_parent t ~id body)
     | Route { id; line_no; hash } ->
       let e =
@@ -931,54 +901,13 @@ let run_front ?(on_ready = fun () -> ()) cfg ~socket_path ~drain =
       in
       if not (try_dispatch t e) then Queue.add e t.parked
   in
-  let frame_lines c =
-    let s = Buffer.contents c.f_buf in
-    let rec go off =
-      match String.index_from_opt s off '\n' with
-      | None ->
-        if off > 0 then begin
-          Buffer.clear c.f_buf;
-          Buffer.add_substring c.f_buf s off (String.length s - off)
-        end
-      | Some nl ->
-        submit c (String.sub s off (nl - off));
-        go (nl + 1)
-    in
-    go 0
-  in
-  let read_conn c =
-    let bytes = Bytes.create 4096 in
-    match Unix.read c.f_fd bytes 0 4096 with
-    | 0 ->
-      c.f_eof <- true;
-      if Queue.is_empty c.f_expected then drop c
-    | n ->
-      Buffer.add_subbytes c.f_buf bytes 0 n;
-      frame_lines c
-    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-      drop c
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  in
-  let stop_accepting () =
-    if !accepting then begin
-      accepting := false;
-      close_quiet lfd;
-      listen_fd := None;
-      try Unix.unlink socket_path with Unix.Unix_error _ -> ()
-    end
-  in
   let poll_front () =
     let backlogged =
       inflight t + Queue.length t.parked
       >= cfg.shards * cfg.inflight_per_shard
     in
     let fds =
-      (if !accepting && not backlogged then [ lfd ] else [])
-      @ (if backlogged then []
-         else
-           Hashtbl.fold
-             (fun fd c acc -> if c.f_eof then acc else fd :: acc)
-             conns [])
+      (if backlogged then [] else Conn.read_fds server)
       @ (Array.to_list t.slots
         |> List.filter_map (fun s ->
                Option.map (fun l -> Daemon.Client.fd l.client) s.link))
@@ -987,28 +916,8 @@ let run_front ?(on_ready = fun () -> ()) cfg ~socket_path ~drain =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | exception Unix.Unix_error (Unix.EBADF, _, _) -> ()
     | ready, _, _ ->
-      List.iter
-        (fun fd ->
-          if Some fd = !listen_fd then (
-            match Unix.accept lfd with
-            | cfd, _ ->
-              Hashtbl.replace conns cfd
-                {
-                  f_fd = cfd;
-                  f_buf = Buffer.create 256;
-                  f_line = 0;
-                  f_eof = false;
-                  f_alive = true;
-                  f_expected = Queue.create ();
-                  f_ready = Hashtbl.create 8;
-                };
-              Metrics_registry.incr "serve.connections"
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
-          else
-            match Hashtbl.find_opt conns fd with
-            | Some c -> read_conn c
-            | None -> () (* a shard fd; pump picks it up below *))
-        ready
+      (* shard fds are not the server's: [step] pumps them *)
+      List.iter (fun fd -> Conn.service server fd submit) ready
   in
   let flush_completed () =
     let done_ = t.completed in
@@ -1023,7 +932,7 @@ let run_front ?(on_ready = fun () -> ()) cfg ~socket_path ~drain =
     let now = Unix.gettimeofday () in
     if Atomic.get drain <> 0 then begin
       t.draining <- true;
-      stop_accepting ()
+      Conn.stop_accepting server
     end;
     poll_front ();
     step t ~now;
@@ -1044,9 +953,9 @@ let run_front ?(on_ready = fun () -> ()) cfg ~socket_path ~drain =
       Queue.clear t.parked
     end
   done;
-  stop_accepting ();
+  Conn.stop_accepting server;
   collect_stats t;
-  Hashtbl.fold (fun _ c acc -> c :: acc) conns [] |> List.iter drop;
+  Conn.close_all server;
   let st = fleet_stats t ~requests:!requests ~errors:!errors in
   shutdown t;
   st

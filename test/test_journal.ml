@@ -224,6 +224,90 @@ let test_midfile_corruption_refused () =
        false
      with Failure _ -> true)
 
+(* --- golden on-disk bytes --- *)
+
+(* One literal record line per log.  Warm restarts across versions and
+   journal merges read these exact bytes, so rendering must reproduce
+   them and reload must accept them. *)
+let journal_golden =
+  {|1bf4c9b7 {"key":"fig9/ic/er05/seed1","status":"ok","payload":{"depth":147,"success":0.25,"tag":"a\"b"}}|}
+
+let persist_golden =
+  {|0151b33f {"graph_hash":123456789,"fingerprint":"tokyo|ic|p1","body":{"ok":true,"depth":42,"swaps":[1,2]}}|}
+
+let test_golden_record_bytes () =
+  with_dir @@ fun dir ->
+  let module Cache = Qaoa_serve.Cache in
+  let module Persist = Qaoa_serve.Persist in
+  let jdir = Filename.concat dir "journal" in
+  let pdir = Filename.concat dir "cache" in
+  let key = "fig9/ic/er05/seed1" in
+  let payload =
+    Json.Assoc
+      [
+        ("depth", Json.Int 147);
+        ("success", Json.Float 0.25);
+        ("tag", Json.String "a\"b");
+      ]
+  in
+  let pkey = { Cache.graph_hash = 123456789; fingerprint = "tokyo|ic|p1" } in
+  let body =
+    [
+      ("ok", Json.Bool true);
+      ("depth", Json.Int 42);
+      ("swaps", Json.List [ Json.Int 1; Json.Int 2 ]);
+    ]
+  in
+  let j = Journal.open_ ~dir:jdir () in
+  Journal.append j ~key ~status:Journal.Done payload;
+  Journal.close j;
+  Alcotest.(check string) "journal line" (journal_golden ^ "\n")
+    (read_file (Journal.path j));
+  let p = Persist.open_ ~dir:pdir (Cache.create ~capacity:4 ()) in
+  Persist.append p pkey body;
+  Persist.close p;
+  Alcotest.(check string) "cache journal line" (persist_golden ^ "\n")
+    (read_file (Persist.path p));
+  (* reload round-trips both *)
+  let j2 = Journal.open_ ~resume:true ~dir:jdir () in
+  (match Journal.find j2 key with
+  | Some { Journal.status = Journal.Done; payload = back } ->
+    Alcotest.(check string) "journal payload" (Json.to_string payload)
+      (Json.to_string back)
+  | _ -> Alcotest.fail "golden journal record not reloaded");
+  Journal.close j2;
+  let c2 = Cache.create ~capacity:4 () in
+  Persist.close (Persist.open_ ~resume:true ~dir:pdir c2);
+  Alcotest.(check (option string)) "cache body"
+    (Some (Json.to_string (Json.Assoc body)))
+    (Option.map (fun b -> Json.to_string (Json.Assoc b)) (Cache.find c2 pkey));
+  (* a corrupt mid-file line (one digit changed under the old checksum)
+     before an intact one: the sweep journal refuses the file, the cache
+     journal drops the line and keeps the rest *)
+  let damaged line ~sub ~by =
+    let n = String.length sub in
+    let rec at i = if String.sub line i n = sub then i else at (i + 1) in
+    let i = at 0 in
+    String.sub line 0 i ^ by
+    ^ String.sub line (i + n) (String.length line - i - n)
+    ^ "\n" ^ line ^ "\n"
+  in
+  Atomic_write.write_string ~path:(Journal.path j)
+    (damaged journal_golden ~sub:"147" ~by:"148");
+  Alcotest.(check bool) "journal refuses the corrupt line" true
+    (try
+       ignore (Journal.open_ ~resume:true ~dir:jdir ());
+       false
+     with Failure _ -> true);
+  Atomic_write.write_string ~path:(Persist.path p)
+    (damaged persist_golden ~sub:"42" ~by:"43");
+  let p3 = Persist.open_ ~resume:true ~dir:pdir (Cache.create ~capacity:4 ()) in
+  let s = Persist.stats p3 in
+  Persist.close p3;
+  Alcotest.(check (pair int int)) "cache journal drops it, keeps the rest"
+    (1, 1)
+    (s.Persist.s_dropped, s.Persist.s_loaded)
+
 (* --- supervisor --- *)
 
 let float_enc v = Json.Float v
@@ -508,6 +592,7 @@ let suite =
     ("journal closed append", `Quick, test_journal_closed_append);
     ("torn recovery at every cut", `Quick, test_torn_recovery_every_cut);
     ("mid-file corruption refused", `Quick, test_midfile_corruption_refused);
+    ("golden record bytes", `Quick, test_golden_record_bytes);
     ("supervisor cache skip", `Quick, test_supervisor_cache_skip);
     ("supervisor retry reseed", `Quick, test_supervisor_retry_reseed);
     ("supervisor quarantine and resume", `Quick,

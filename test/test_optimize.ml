@@ -1,11 +1,13 @@
-(* Tests for the peephole optimizer and the commutation-aware DAG. *)
+(* Tests for the peephole optimizer, the commutation relation and the
+   commutation-aware DAG. *)
 
 module Gate = Qaoa_circuit.Gate
 module Circuit = Qaoa_circuit.Circuit
 module Layering = Qaoa_circuit.Layering
 module Decompose = Qaoa_circuit.Decompose
 module Optimize = Qaoa_circuit.Optimize
-module Dag = Qaoa_circuit.Dag
+module Commute = Qaoa_analysis.Commute
+module Dataflow = Qaoa_analysis.Dataflow
 module Statevector = Qaoa_sim.Statevector
 module Rng = Qaoa_util.Rng
 
@@ -284,27 +286,29 @@ let prop_optimize_phase_poly_equivalent =
         QCheck.Test.fail_reportf "optimized circuit diverged: %s"
           (Qaoa_analysis.Phase_poly.verdict_to_string v))
 
-(* --- Dag --- *)
+(* --- Gate.commutes and the Commute/Dataflow DAG --- *)
 
 let test_commutes_relation () =
   Alcotest.(check bool) "disjoint" true
-    (Dag.commutes (Gate.H 0) (Gate.H 1));
+    (Gate.commutes (Gate.H 0) (Gate.H 1));
   Alcotest.(check bool) "diagonal pair" true
-    (Dag.commutes (Gate.Cphase (0, 1, 0.5)) (Gate.Cphase (1, 2, 0.3)));
+    (Gate.commutes (Gate.Cphase (0, 1, 0.5)) (Gate.Cphase (1, 2, 0.3)));
   Alcotest.(check bool) "rz through cphase" true
-    (Dag.commutes (Gate.Rz (1, 0.4)) (Gate.Cphase (1, 2, 0.3)));
+    (Gate.commutes (Gate.Rz (1, 0.4)) (Gate.Cphase (1, 2, 0.3)));
   Alcotest.(check bool) "h vs cphase conservative" false
-    (Dag.commutes (Gate.H 1) (Gate.Cphase (1, 2, 0.3)));
+    (Gate.commutes (Gate.H 1) (Gate.Cphase (1, 2, 0.3)));
   Alcotest.(check bool) "cnot control diagonal" true
-    (Dag.commutes (Gate.Cnot (0, 1)) (Gate.Rz (0, 0.4)));
+    (Gate.commutes (Gate.Cnot (0, 1)) (Gate.Rz (0, 0.4)));
   Alcotest.(check bool) "cnot target x" true
-    (Dag.commutes (Gate.Cnot (0, 1)) (Gate.X 1));
+    (Gate.commutes (Gate.Cnot (0, 1)) (Gate.X 1));
   Alcotest.(check bool) "cnot target diagonal no" false
-    (Dag.commutes (Gate.Cnot (0, 1)) (Gate.Rz (1, 0.4)));
+    (Gate.commutes (Gate.Cnot (0, 1)) (Gate.Rz (1, 0.4)));
   Alcotest.(check bool) "same-axis rotations" true
-    (Dag.commutes (Gate.Rx (0, 0.1)) (Gate.Rx (0, 0.2)));
+    (Gate.commutes (Gate.Rx (0, 0.1)) (Gate.Rx (0, 0.2)));
   Alcotest.(check bool) "measure ordered" false
-    (Dag.commutes (Gate.Measure 0) (Gate.H 0))
+    (Gate.commutes (Gate.Measure 0) (Gate.H 0))
+
+let asap_depth c = (Dataflow.analyze c).Dataflow.asap_depth
 
 let test_dag_qaoa_cost_layer_depth () =
   (* K4's six CPHASEs all commute: DAG depth must be the bin-packing
@@ -317,52 +321,50 @@ let test_dag_qaoa_cost_layer_depth () =
       (List.map (fun (a, b) -> Gate.Cphase (a, b, 0.5)) bad_order)
   in
   Alcotest.(check int) "naive layering depth 6" 6 (Layering.depth c);
-  let dag = Dag.build c in
-  Alcotest.(check int) "commutation-aware depth 3" 3 (Dag.depth dag)
+  Alcotest.(check int) "commutation-aware depth 3" 3 (asap_depth c)
 
 let test_dag_ordered_dependencies () =
   let c = Circuit.of_gates 2 [ Gate.H 0; Gate.Cnot (0, 1); Gate.H 1 ] in
-  let dag = Dag.build c in
-  Alcotest.(check (list int)) "cnot depends on h0" [ 0 ] (Dag.predecessors dag 1);
-  Alcotest.(check (list int)) "h1 depends on cnot" [ 1 ] (Dag.predecessors dag 2);
-  Alcotest.(check (list int)) "h0 has successor cnot" [ 1 ] (Dag.successors dag 0);
-  Alcotest.(check int) "depth 3" 3 (Dag.depth dag)
+  let dag = Commute.build c in
+  Alcotest.(check (list int)) "cnot depends on h0" [ 0 ]
+    (Commute.predecessors dag 1);
+  Alcotest.(check (list int)) "h1 depends on cnot" [ 1 ]
+    (Commute.predecessors dag 2);
+  Alcotest.(check (list int)) "h0 has successor cnot" [ 1 ]
+    (Commute.successors dag 0);
+  Alcotest.(check int) "depth 3" 3 (asap_depth c)
 
 let test_dag_barrier () =
   let c = Circuit.of_gates 2 [ Gate.H 0; Gate.Barrier; Gate.H 1 ] in
-  let dag = Dag.build c in
   (* barrier orders h1 after h0 but costs no time step of its own *)
-  Alcotest.(check int) "depth 2" 2 (Dag.depth dag);
-  Alcotest.(check (list int)) "h1 waits for barrier" [ 1 ] (Dag.predecessors dag 2)
+  Alcotest.(check int) "depth 2" 2 (asap_depth c);
+  Alcotest.(check (list int)) "h1 waits for barrier" [ 1 ]
+    (Commute.predecessors (Commute.build c) 2)
 
 let test_dag_empty () =
-  let dag = Dag.build (Circuit.create 3) in
-  Alcotest.(check int) "empty depth" 0 (Dag.depth dag);
-  Alcotest.(check int) "no nodes" 0 (List.length (Dag.nodes dag))
+  let c = Circuit.create 3 in
+  Alcotest.(check int) "empty depth" 0 (asap_depth c);
+  Alcotest.(check int) "no nodes" 0 (Commute.num_nodes (Commute.build c))
+
+(* Node ids sorted by their greedy schedule step: flattening this order
+   back into a circuit realizes the commutation-aware depth. *)
+let scheduled_order df =
+  let n = Commute.num_nodes (Dataflow.dag df) in
+  List.stable_sort
+    (fun a b -> compare (Dataflow.step df a) (Dataflow.step df b))
+    (List.init n Fun.id)
 
 let test_topological_order_valid () =
   let rng = Rng.create 77 in
   for _ = 1 to 10 do
     let c = random_circuit rng 4 25 in
-    let dag = Dag.build c in
-    let order = Dag.topological_order dag in
-    (* every node appears once *)
-    Alcotest.(check int) "complete" (List.length (Dag.nodes dag))
-      (List.length order);
-    (* dependencies respected *)
-    let position = Hashtbl.create 32 in
-    List.iteri (fun i n -> Hashtbl.replace position n.Dag.id i) order;
-    List.iter
-      (fun n ->
-        List.iter
-          (fun p ->
-            Alcotest.(check bool) "pred before" true
-              (Hashtbl.find position p < Hashtbl.find position n.Dag.id))
-          (Dag.predecessors dag n.Dag.id))
-      (Dag.nodes dag)
+    let df = Dataflow.of_circuit c in
+    (* raises unless the order is a dependency-respecting permutation *)
+    let r = Commute.circuit_of_order (Dataflow.dag df) (scheduled_order df) in
+    Alcotest.(check int) "complete" (Circuit.length c) (Circuit.length r)
   done
 
-(* QCheck: reordering a circuit by DAG topological order preserves
+(* QCheck: reordering a circuit by its schedule order preserves
    semantics (the commutation relation is sound). *)
 let prop_dag_reorder_sound =
   QCheck.Test.make ~name:"DAG topological reorder preserves semantics"
@@ -371,13 +373,9 @@ let prop_dag_reorder_sound =
     (fun (seed, n) ->
       let rng = Rng.create seed in
       let c = random_circuit rng n 25 in
-      let dag = Dag.build c in
+      let df = Dataflow.of_circuit c in
       let reordered =
-        Circuit.of_gates n
-          (List.filter_map
-             (fun node ->
-               match node.Dag.gate with Gate.Barrier -> None | g -> Some g)
-             (Dag.topological_order dag))
+        Commute.circuit_of_order (Dataflow.dag df) (scheduled_order df)
       in
       Statevector.equal_up_to_global_phase ~eps:1e-8
         (Statevector.of_circuit c)
@@ -390,7 +388,7 @@ let prop_dag_depth_bound =
     (fun (seed, n) ->
       let rng = Rng.create seed in
       let c = random_circuit rng n 30 in
-      Dag.depth (Dag.build c) <= Layering.depth c)
+      asap_depth c <= Layering.depth c)
 
 let suite =
   [

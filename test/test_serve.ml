@@ -641,6 +641,13 @@ let test_persist_corruption_recovery () =
   Persist.finish p2 c2;
   Alcotest.(check (list string)) "responses byte-identical after corruption"
     first second;
+  (* finish compacted the dropped record away: the next restart is clean *)
+  let p3 = Persist.open_ ~resume:true ~dir (Cache.create ~capacity:64 ()) in
+  let s3 = Persist.stats p3 in
+  Persist.close p3;
+  Alcotest.(check int) "nothing left to drop" 0 s3.Persist.s_dropped;
+  Alcotest.(check int) "every record reloads" (List.length lines)
+    s3.Persist.s_loaded;
   match stats.Serve.cache_stats with
   | None -> Alcotest.fail "cache stats missing"
   | Some cs ->
